@@ -111,7 +111,8 @@ fuzz:
 	$(GO) test -fuzz FuzzSplitString -fuzztime 15s ./internal/keys/
 	$(GO) test -fuzz FuzzComparePathBounds -fuzztime 15s ./internal/keys/
 	$(GO) test -fuzz FuzzKeyCompare -fuzztime 15s ./internal/keys/
-	$(GO) test -fuzz FuzzTrieDecode -fuzztime 15s ./internal/trie/
+	$(GO) test -fuzz '^FuzzTrieDecode$$' -fuzztime 15s ./internal/trie/
+	$(GO) test -fuzz FuzzRunNeighbors -fuzztime 15s ./internal/trie/
 	$(GO) test -fuzz FuzzBucketDecodeV2 -fuzztime 15s ./internal/bucket/
 	$(GO) test -fuzz FuzzTrieDecodeV2 -fuzztime 15s ./internal/trie/
 

@@ -37,6 +37,9 @@ type arenaCell struct {
 	lp, rp atomic.Int32
 }
 
+// arenaChunk is one fixed block of cells; once allocated it never moves.
+type arenaChunk [arenaChunkSize]arenaCell
+
 // Arena is safe for any number of concurrent readers (Search) alongside
 // one mutator (the tracer replay, serialized by the engine's structural
 // lock).
@@ -44,7 +47,15 @@ type Arena struct {
 	alpha  keys.Alphabet
 	ncells atomic.Int32
 	root   atomic.Int32
-	chunks [arenaMaxChunks]atomic.Pointer[[arenaChunkSize]arenaCell]
+	// chunks is the chunk directory, sized to the chunks in use: the
+	// mutator appends a chunk's pointer past the end of the slice it last
+	// published and then publishes the longer slice, so a reader, which
+	// indexes only below the length it loaded, never sees a slot being
+	// written. A chunk is published before any edge to its cells, so a
+	// reader that meets a cell beyond its snapshot reloads it (see
+	// cellIn). (A fixed directory for arenaMaxChunks would hold 512 KiB
+	// whatever the trie's size.)
+	chunks atomic.Pointer[[]*arenaChunk]
 }
 
 // NewArena builds an arena mirroring t's current cells and root. The
@@ -52,6 +63,7 @@ type Arena struct {
 // so later mutations replay into it.
 func NewArena(t *trie.Trie) *Arena {
 	a := &Arena{alpha: t.Alphabet()}
+	a.chunks.Store(new([]*arenaChunk))
 	a.root.Store(int32(trie.Nil))
 	n := int32(t.TableCells())
 	for ci := int32(0); ci < n; ci++ {
@@ -70,8 +82,22 @@ func (a *Arena) Cells() int { return int(a.ncells.Load()) }
 // Root returns the current root pointer.
 func (a *Arena) Root() trie.Ptr { return trie.Ptr(a.root.Load()) }
 
+// cell returns cell ci through the current directory: the mutator's
+// lookup.
 func (a *Arena) cell(ci int32) *arenaCell {
-	return &a.chunks[ci>>arenaChunkShift].Load()[ci&(arenaChunkSize-1)]
+	return &(*a.chunks.Load())[ci>>arenaChunkShift][ci&(arenaChunkSize-1)]
+}
+
+// cellIn is cell for readers: it resolves ci through the directory
+// snapshot dir, reloading the snapshot only when ci lies in a chunk
+// appended since, so a search loads the directory once rather than per
+// cell.
+func (a *Arena) cellIn(dir *[]*arenaChunk, ci int32) *arenaCell {
+	k := int(ci >> arenaChunkShift)
+	if k >= len(*dir) {
+		*dir = *a.chunks.Load()
+	}
+	return &(*dir)[k][ci&(arenaChunkSize-1)]
 }
 
 // TraceAppendCell implements trie.Tracer: it appends cell ci (which must
@@ -83,16 +109,16 @@ func (a *Arena) TraceAppendCell(ci int32, dv byte, dn int32) {
 	if got := a.ncells.Load(); ci != got {
 		panic(fmt.Sprintf("concurrent: arena out of sync: appending cell %d, table has %d", ci, got))
 	}
-	ck := ci >> arenaChunkShift
+	ck := int(ci >> arenaChunkShift)
 	if ck >= arenaMaxChunks {
 		panic("concurrent: arena cell table full")
 	}
-	ch := a.chunks[ck].Load()
-	if ch == nil {
-		ch = new([arenaChunkSize]arenaCell)
-		a.chunks[ck].Store(ch)
+	dir := *a.chunks.Load()
+	if ck == len(dir) {
+		dir = append(dir, new(arenaChunk))
+		a.chunks.Store(&dir)
 	}
-	c := &ch[ci&(arenaChunkSize-1)]
+	c := &dir[ck][ci&(arenaChunkSize-1)]
 	c.dv, c.dn = dv, dn
 	c.lp.Store(int32(trie.Nil))
 	c.rp.Store(int32(trie.Nil))
@@ -120,10 +146,11 @@ func (a *Arena) storePtr(pos trie.Pos, v trie.Ptr) {
 // trie.SearchAddr. The result is a hint: the caller must latch the bucket
 // and re-run Search to confirm the address before trusting it.
 func (a *Arena) Search(key string) trie.Ptr {
+	dir := *a.chunks.Load()
 	n := trie.Ptr(a.root.Load())
 	j := 0
 	for n.IsEdge() {
-		c := a.cell(n.Cell())
+		c := a.cellIn(&dir, n.Cell())
 		i := int(c.dn)
 		if j == i {
 			cj := a.alpha.Digit(key, j)
@@ -154,10 +181,11 @@ func (a *Arena) Search(key string) trie.Ptr {
 // path shorter than a cell's digit number — it pads and carries on.
 func (a *Arena) SearchPath(key string) (trie.Ptr, []byte) {
 	var path []byte
+	dir := *a.chunks.Load()
 	n := trie.Ptr(a.root.Load())
 	j := 0
 	for n.IsEdge() {
-		c := a.cell(n.Cell())
+		c := a.cellIn(&dir, n.Cell())
 		i := int(c.dn)
 		goLeft := false
 		if j == i {

@@ -439,19 +439,13 @@ func (e *ConcurrentFile) maintain(key string, sp *obs.Span) error {
 	return nil
 }
 
-// neighborPaths resolves the in-order neighbour buckets of addr and their
-// subtree paths under the flip lock.
-func (e *ConcurrentFile) neighborPaths(addr int32) (pred, succ int32, predPath, succPath []byte) {
+// neighbors resolves, under the flip lock, the bucket key maps to and its
+// in-order neighbour buckets, with the logical paths of the leaves next
+// to its run (which name the neighbours' subtree stripes).
+func (e *ConcurrentFile) neighbors(key string) trie.Neighbors {
 	e.trieMu.RLock()
 	defer e.trieMu.RUnlock()
-	pred, succ = e.inner.trie.NeighborBuckets(addr)
-	if pred >= 0 {
-		predPath, _ = e.inner.trie.LeafPath(pred)
-	}
-	if succ >= 0 {
-		succPath, _ = e.inner.trie.LeafPath(succ)
-	}
-	return pred, succ, predPath, succPath
+	return e.inner.trie.NeighborsOf(key)
 }
 
 // maintainOnce is one guarded-maintenance attempt; retry reports that the
@@ -462,17 +456,21 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 		return false, nil
 	}
 	addr := leaf.Addr()
-	pred, succ, predPath, succPath := e.neighborPaths(addr)
+	nbs := e.neighbors(key)
+	if nbs.Addr != addr {
+		return true, nil // a structural change moved the key since the arena search
+	}
+	pred, succ := nbs.Pred, nbs.Succ
 	if pred < 0 && succ < 0 {
 		return false, nil // the file's only bucket: no guarantee possible nor needed
 	}
 	ks := make([]int, 0, 3)
 	ks = append(ks, e.stripes.KeyOf(path))
 	if pred >= 0 {
-		ks = append(ks, e.stripes.KeyOf(predPath))
+		ks = append(ks, e.stripes.KeyOf(nbs.PredPath))
 	}
 	if succ >= 0 {
-		ks = append(ks, e.stripes.KeyOf(succPath))
+		ks = append(ks, e.stripes.KeyOf(nbs.SuccPath))
 	}
 	unlock := e.lockSubtrees(sp, ks...)
 	defer unlock()
@@ -483,7 +481,7 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 	if cur := e.arena.Search(key); cur.IsNil() || cur.Addr() != addr {
 		return true, nil
 	}
-	if p2, s2, _, _ := e.neighborPaths(addr); p2 != pred || s2 != succ {
+	if nb2 := e.neighbors(key); nb2.Addr != addr || nb2.Pred != pred || nb2.Succ != succ {
 		return true, nil
 	}
 	b, err := e.readLatched(addr)
@@ -504,7 +502,7 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 			return false, err
 		}
 		if e.inner.mergeFits(sb, b, nil) {
-			return false, e.mergeLatched(addr, succ, true)
+			return false, e.mergeLatched(key, addr, succ, true)
 		}
 		nbAddr, nbLen, nbIsSuc = succ, sb.Len(), true
 	}
@@ -514,7 +512,7 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 			return false, err
 		}
 		if e.inner.mergeFits(pb, b, b.Bound()) {
-			return false, e.mergeLatched(addr, pred, false)
+			return false, e.mergeLatched(key, addr, pred, false)
 		}
 		if nbAddr < 0 || pb.Len() > nbLen {
 			nbAddr, nbLen, nbIsSuc = pred, pb.Len(), false
@@ -523,7 +521,7 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 	if nbAddr < 0 {
 		return false, nil
 	}
-	return false, e.borrowLatched(addr, nbAddr, nbIsSuc)
+	return false, e.borrowLatched(key, addr, nbAddr, nbIsSuc)
 }
 
 // readLatched reads bucket addr under its read latch — the probe used by
@@ -536,19 +534,21 @@ func (e *ConcurrentFile) readLatched(addr int32) (*bucket.Bucket, error) {
 	return b, err
 }
 
-// adjacent re-verifies, under the flip lock, that nbAddr is still addr's
-// in-order neighbour on the expected side. Both write latches are held by
-// the caller, which pins the adjacency from here on: any operation that
-// would change it (a split of either bucket, a merge involving either)
-// must hold one of those latches.
-func (e *ConcurrentFile) adjacent(addr, nbAddr int32, nbIsSucc bool) bool {
-	e.trieMu.RLock()
-	defer e.trieMu.RUnlock()
-	pred, succ := e.inner.trie.NeighborBuckets(addr)
-	if nbIsSucc {
-		return succ == nbAddr
+// adjacent re-verifies, under the flip lock, that key still maps to addr
+// and nbAddr is still addr's in-order neighbour on the expected side. Both
+// write latches are held by the caller, which pins the mapping and the
+// adjacency from here on: any operation that would change them (a split
+// of either bucket, a merge involving either) must hold one of those
+// latches.
+func (e *ConcurrentFile) adjacent(key string, addr, nbAddr int32, nbIsSucc bool) bool {
+	nbs := e.neighbors(key)
+	if nbs.Addr != addr {
+		return false
 	}
-	return pred == nbAddr
+	if nbIsSucc {
+		return nbs.Succ == nbAddr
+	}
+	return nbs.Pred == nbAddr
 }
 
 // mergeLatched performs a guaranteed-load merge of bucket addr into its
@@ -558,10 +558,10 @@ func (e *ConcurrentFile) adjacent(addr, nbAddr int32, nbIsSucc bool) bool {
 // with the same publication order as the sequential engine's mergeInto:
 // the grown neighbour is written before the trie repoints addr's leaves,
 // and the freed slot is released last.
-func (e *ConcurrentFile) mergeLatched(addr, nbAddr int32, nbIsSucc bool) error {
+func (e *ConcurrentFile) mergeLatched(key string, addr, nbAddr int32, nbIsSucc bool) error {
 	unlock := e.latches.LockPair(addr, nbAddr)
 	defer unlock()
-	if !e.adjacent(addr, nbAddr, nbIsSucc) {
+	if !e.adjacent(key, addr, nbAddr, nbIsSucc) {
 		return nil
 	}
 	b, err := e.inner.st.Read(addr)
@@ -585,7 +585,7 @@ func (e *ConcurrentFile) mergeLatched(addr, nbAddr int32, nbIsSucc bool) error {
 	e.trieMu.Lock()
 	defer e.trieMu.Unlock()
 	base := e.syncDown()
-	err = e.inner.mergeInto(addr, b, nbAddr, nb, nbIsSucc)
+	err = e.inner.mergeInto(key, addr, b, nbAddr, nb, nbIsSucc)
 	e.syncUp(base)
 	return err
 }
@@ -594,10 +594,10 @@ func (e *ConcurrentFile) mergeLatched(addr, nbAddr int32, nbIsSucc bool) error {
 // its neighbour, under both write latches in ascending address order,
 // with the same re-verify discipline as mergeLatched and the boundary
 // flip under the flip lock.
-func (e *ConcurrentFile) borrowLatched(addr, nbAddr int32, nbIsSucc bool) error {
+func (e *ConcurrentFile) borrowLatched(key string, addr, nbAddr int32, nbIsSucc bool) error {
 	unlock := e.latches.LockPair(addr, nbAddr)
 	defer unlock()
-	if !e.adjacent(addr, nbAddr, nbIsSucc) {
+	if !e.adjacent(key, addr, nbAddr, nbIsSucc) {
 		return nil
 	}
 	b, err := e.inner.st.Read(addr)

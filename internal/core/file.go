@@ -266,7 +266,7 @@ func (f *File) Delete(key string) error {
 		return err
 	}
 	f.nkeys--
-	return f.maintainAfterDelete(res, addr, b)
+	return f.maintainAfterDelete(key, res, addr, b)
 }
 
 // Range calls fn for every record with from <= key <= to in ascending key

@@ -137,7 +137,7 @@ func (f *File) DeleteSpan(key string, sp *obs.Span) error {
 	}
 	sp.Mark(obs.StageStoreWrite)
 	f.nkeys--
-	err = f.maintainAfterDelete(res, addr, b)
+	err = f.maintainAfterDelete(key, res, addr, b)
 	sp.Mark(obs.StageMerge)
 	return err
 }

@@ -134,10 +134,11 @@ func (f *File) freeBestEffort(addr int32) {
 
 // redistributeToSuccessor shifts the top keys of the overflowing bucket
 // into its in-order successor when that bucket has room (Section 4.4),
-// aiming at an even load across the two buckets. Reports whether the
-// overflow was resolved.
+// aiming at an even load across the two buckets. The successor is found
+// from the bucket's own smallest key. Reports whether the overflow was
+// resolved.
 func (f *File) redistributeToSuccessor(addr int32, b *bucket.Bucket) (bool, error) {
-	_, succ := f.trie.NeighborBuckets(addr)
+	succ := f.trie.NeighborsOf(b.MinKey()).Succ
 	if succ < 0 {
 		return false, nil
 	}
@@ -200,9 +201,10 @@ func (f *File) redistributeToSuccessor(addr int32, b *bucket.Bucket) (bool, erro
 }
 
 // redistributeToPredecessor shifts the bottom keys of the overflowing
-// bucket into its in-order predecessor when that bucket has room.
+// bucket into its in-order predecessor when that bucket has room (found
+// as in redistributeToSuccessor).
 func (f *File) redistributeToPredecessor(addr int32, b *bucket.Bucket) (bool, error) {
-	pred, _ := f.trie.NeighborBuckets(addr)
+	pred := f.trie.NeighborsOf(b.MinKey()).Pred
 	if pred < 0 {
 		return false, nil
 	}

@@ -54,10 +54,7 @@ type ExpandStats struct {
 // key above s existed in old (otherwise the boundary is vacuous and the
 // call panics: it would be a splitter bug).
 func (t *Trie) SetBoundary(splitKey string, s []byte, old, low, high int32, mode Mode) ExpandStats {
-	res := t.Search(splitKey)
-	if res.Leaf.IsNil() || res.Leaf.Addr() != old {
-		panic(fmt.Sprintf("trie: SetBoundary: split key %q maps to %s, not to bucket %d", splitKey, res.Leaf, old))
-	}
+	c := t.seekBucket("SetBoundary", splitKey, old)
 	if mode == ModeBasic && (low != old || t.LeafCount(old) != 1) {
 		panic("trie: SetBoundary: basic mode requires a single leaf per bucket and low == old")
 	}
@@ -65,60 +62,54 @@ func (t *Trie) SetBoundary(splitKey string, s []byte, old, low, high int32, mode
 	// Fast path: bucket old has a single leaf and keeps the low side.
 	// The boundary must then fall strictly inside that leaf's range.
 	if t.LeafCount(old) == 1 && low == old {
-		if t.alpha.ComparePathBounds(s, res.Path) >= 0 {
-			panic(fmt.Sprintf("trie: SetBoundary: boundary %q does not fall below bucket %d's upper range %q", s, old, res.Path))
+		if t.alpha.ComparePathBounds(s, c.path) >= 0 {
+			panic(fmt.Sprintf("trie: SetBoundary: boundary %q does not fall below bucket %d's upper range %q", s, old, c.path))
 		}
-		return t.insertChain(res.Pos, res.Path, s, low, high, mode)
+		return t.insertChain(c.pos(), c.path, s, low, high, mode)
 	}
 
-	// General path: locate the contiguous in-order run of leaves
-	// carrying old and place the boundary within it.
-	leaves := t.InorderLeaves()
-	lo, hi := -1, -1
-	for q, lp := range leaves {
-		if !lp.Leaf.IsNil() && lp.Leaf.IsLeaf() && lp.Leaf.Addr() == old {
-			if lo < 0 {
-				lo = q
-			}
-			hi = q
-		}
-	}
-	if lo < 0 {
-		panic(fmt.Sprintf("trie: SetBoundary: no leaf carries bucket %d", old))
-	}
-
+	// General path: place the boundary within the contiguous in-order run
+	// of leaves carrying old, walking it outward from the split key's
+	// leaf. The leaves before that one lie wholly below the split key,
+	// hence at or below s: they change only when low takes them over.
 	var st ExpandStats
-	straddle := -1 // first run index whose bound exceeds s
-	exact := false // boundary coincides with a leaf bound
-	for q := lo; q <= hi; q++ {
-		cmp := t.alpha.ComparePathBounds(leaves[q].Path, s)
-		if cmp <= 0 {
-			if low != old {
-				t.setPtr(leaves[q].Pos, Leaf(low))
-				st.Repointed++
-			}
-			if cmp == 0 {
-				exact = true
-			}
-			continue
+	if low != old {
+		for c.prev() && c.leaf == Leaf(old) {
+			t.setPtr(c.pos(), Leaf(low))
+			st.Repointed++
 		}
-		straddle = q
-		break
+		c.seek(splitKey)
 	}
-	if straddle < 0 {
-		panic(fmt.Sprintf("trie: SetBoundary: boundary %q does not fall below bucket %d's upper range", s, old))
+	// From the split key's leaf on, bounds at or below s go low; the
+	// first bound above s straddles the boundary.
+	exact := false // boundary coincides with a leaf bound
+	for {
+		cmp := t.alpha.ComparePathBounds(c.path, s)
+		if cmp > 0 {
+			break
+		}
+		if low != old {
+			t.setPtr(c.pos(), Leaf(low))
+			st.Repointed++
+		}
+		exact = cmp == 0
+		if !c.next() || c.leaf != Leaf(old) {
+			panic(fmt.Sprintf("trie: SetBoundary: boundary %q does not fall below bucket %d's upper range", s, old))
+		}
 	}
+	more := true
 	if !exact {
-		// The boundary cuts strictly into this leaf's range: expand
-		// the trie there. Later leaves of the run then switch to high.
-		cs := t.insertChain(leaves[straddle].Pos, leaves[straddle].Path, s, low, high, mode)
+		// The boundary cuts strictly into this leaf's range: expand the
+		// trie there. Later leaves of the run then switch to high.
+		cs := t.insertChain(c.pos(), c.path, s, low, high, mode)
 		st.NewCells += cs.NewCells
 		st.NewNilLeaves += cs.NewNilLeaves
-		straddle++
+		more = c.next()
 	}
-	for q := straddle; q <= hi; q++ {
-		t.setPtr(leaves[q].Pos, Leaf(high))
+	for high != old && more && c.leaf == Leaf(old) {
+		t.setPtr(c.pos(), Leaf(high))
 		st.Repointed++
+		more = c.next()
 	}
 	return st
 }

@@ -27,15 +27,10 @@ func (t *Trie) InorderLeaves() []LeafPos {
 	return out
 }
 
-// WalkLeaves calls fn for each leaf in in-order until fn returns false.
-func (t *Trie) WalkLeaves(fn func(LeafPos) bool) {
-	t.walkLeaves(t.root, RootPos, nil, fn)
-}
-
-// WalkLeavesFrom is WalkLeaves starting at the leaf whose range contains
-// from: subtrees whose entire key range lies below from are pruned without
-// visiting them, so a range scan costs O(depth + leaves visited) instead
-// of a full traversal.
+// WalkLeavesFrom calls fn for each leaf in in-order, starting at the leaf
+// whose range contains from, until fn returns false. Subtrees whose
+// entire key range lies below from are pruned without visiting them, so a
+// range scan costs O(depth + leaves visited) instead of a full traversal.
 func (t *Trie) WalkLeavesFrom(from string, fn func(LeafPos) bool) {
 	var walk func(n Ptr, pos Pos, path []byte) bool
 	walk = func(n Ptr, pos Pos, path []byte) bool {
@@ -61,9 +56,10 @@ func (t *Trie) WalkLeavesFrom(from string, fn func(LeafPos) bool) {
 	walk(t.root, RootPos, nil)
 }
 
-// WalkLeavesPrefix is WalkLeaves for a page-level subtrie whose logical
-// path starts with the digits inherited from upper pages: prefix seeds the
-// path, so every reported LeafPos carries the full logical path. The
+// WalkLeavesPrefix calls fn for each leaf of a page-level subtrie in
+// in-order until fn returns false. The subtrie's logical paths start with
+// the digits inherited from upper pages: prefix seeds the path, so every
+// reported LeafPos carries the full logical path. The
 // multilevel THCL machinery uses it to compute cross-page leaf bounds.
 func (t *Trie) WalkLeavesPrefix(prefix []byte, fn func(LeafPos) bool) {
 	t.walkLeaves(t.root, RootPos, prefix, fn)
@@ -87,24 +83,6 @@ func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, fn func(LeafPos) bool) bo
 		return false
 	}
 	return t.walkLeaves(cell.RP, Pos{Cell: ci, Side: SideRight}, path, fn)
-}
-
-// LeafPath returns the logical path of the first in-order leaf carrying
-// bucket address addr, and whether one exists. The concurrent engine's
-// maintenance pass uses it to derive the subtree stripe of a merge
-// neighbour; any leaf of the bucket's run serves, since the stripe keys
-// are advisory contention shaping, not correctness.
-func (t *Trie) LeafPath(addr int32) ([]byte, bool) {
-	var path []byte
-	found := false
-	t.WalkLeaves(func(lp LeafPos) bool {
-		if !lp.Leaf.IsNil() && lp.Leaf.Addr() == addr {
-			path, found = lp.Path, true
-			return false
-		}
-		return true
-	})
-	return path, found
 }
 
 // InorderLeafPtrs returns every leaf pointer in in-order without computing

@@ -518,7 +518,7 @@ func TestRepointAndCollapse(t *testing.T) {
 	tr.SetBoundary("g", []byte("g"), 0, 0, 1, ModeTHCL)
 	tr.SetBoundary("s", []byte("s"), 1, 1, 2, ModeTHCL)
 	// THCL merge of buckets 1 and 2: repoint 2's leaves to 1.
-	n := tr.RepointLeaves(2, 1)
+	n := tr.RepointRun("z", 2, 1)
 	if n != 1 {
 		t.Fatalf("repointed %d", n)
 	}

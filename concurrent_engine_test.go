@@ -94,13 +94,29 @@ func TestConcurrentDifferentialIdentity(t *testing.T) {
 // inserts, overwrites, reads back and deletes (so values are verifiable),
 // while every worker also churns a shared hot range for contention on
 // the same buckets, splits and merges. The file must stay invariant-clean
-// and serve exactly the surviving records.
+// and serve exactly the surviving records. It runs untraced and again
+// with a span observer attached, so -race also covers the spans carried
+// through splits, merges and their lock holds.
 func TestConcurrentParallelStress(t *testing.T) {
+	t.Run("untraced", func(t *testing.T) { concurrentParallelStress(t, nil) })
+	t.Run("spans", func(t *testing.T) {
+		o := NewObserver(ObserverConfig{Spans: true})
+		concurrentParallelStress(t, o)
+		for _, s := range []Stage{StageSplit, StageMerge, StageLatchHold} {
+			if o.Stage(s).Count() == 0 {
+				t.Errorf("no %v samples: the traced run did not reach that stage", s)
+			}
+		}
+	})
+}
+
+func concurrentParallelStress(t *testing.T, o *Observer) {
 	f, err := Create(Options{BucketCapacity: 8, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	f.Observe(o)
 
 	const (
 		workers = 8

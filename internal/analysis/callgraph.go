@@ -29,7 +29,7 @@ type funcNode struct {
 	// the lexical chain publishsafety uses to scope engine methods.
 	parent *funcNode
 	// name is the diagnostic-friendly label: "core.(*ConcurrentFile).putSlow",
-	// "core.putBatch$1" for literals.
+	// "core.(*ConcurrentFile).PutBatchSpan$1" for literals.
 	name string
 
 	// sum is the function's lock summary, filled by the lockflow engine.

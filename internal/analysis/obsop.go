@@ -6,44 +6,48 @@ import (
 
 // ObsOp enforces the observability discipline on the public API.
 //
-// Rule 1 (PR 1): every method that dispatches a data operation to the
-// engine (a call through an `eng` field to Get, Put, Delete, Range, the
-// batches, or their *Span forms) must also route through the obs timing
-// hook — RecordOp, or FinishSpan, which records the whole-op sample when
-// it closes the span. The whole point of the observability layer is that
-// attaching an Observer covers every operation; a new public method that
-// forwards to the engine but skips the hook would silently fall out of
-// the latency histograms and make "p99 regressed" undiagnosable for
-// exactly the calls that regressed.
+// Rule 1: every method that dispatches a data operation to the engine (a
+// call through an `eng` field to one of engineOps) must also route
+// through the obs timing hook — RecordOp; FinishSpan, which records the
+// whole-op sample when it closes the span; or a deferred FinishOp, the
+// OpScope helper that does either. The whole point of the observability
+// layer is that attaching an Observer covers every operation; a new
+// public method that forwards to the engine but skips the hook would
+// silently fall out of the latency histograms and make "p99 regressed"
+// undiagnosable for exactly the calls that regressed. FinishOp counts
+// only deferred: it is how the helper is meant to be used, and an inline
+// call misses early returns.
 //
-// Rule 2 (PR 6, span tracing): a function that starts a span must contain
-// a deferred FinishSpan. Spans are pooled and their stage totals are only
-// published at FinishSpan; an undeferred finish misses early returns, and
-// a missing finish leaks the span and loses the op's samples. The defer
-// may be conditional in the source the way ours never is — the analyzer
-// requires the syntactic `defer ...FinishSpan(...)` form somewhere in the
-// function body.
+// Rule 2 (span tracing): a function that starts an op's instrumentation
+// must contain the matching deferred finish — StartSpan a deferred
+// FinishSpan, StartOp a deferred FinishOp. Spans are pooled and their
+// stage totals are only published at the finish; an undeferred finish
+// misses early returns, and a missing finish leaks the span and loses the
+// op's samples. The defer may be conditional in the source the way ours
+// never is — the analyzer requires the syntactic `defer ...Finish*(...)`
+// form somewhere in the function body.
 var ObsOp = &Analyzer{
 	Name: "obsop",
-	Doc:  "public API methods dispatching engine operations must call the obs timing hook (RecordOp/FinishSpan); StartSpan requires a deferred FinishSpan",
+	Doc:  "public API methods dispatching engine operations must call the obs timing hook (RecordOp/FinishSpan/deferred FinishOp); StartSpan and StartOp require a deferred FinishSpan and FinishOp",
 	Run:  runObsOp,
 }
 
-// engineOps are the engine methods that correspond to obs.Op samples,
-// plain and span-carrying forms alike.
+// engineOps are the engine methods that correspond to obs.Op samples: the
+// span-taking op bodies the public layer dispatches, and the plain
+// one-line delegates (span nil) paper-facing callers use.
 var engineOps = map[string]bool{
-	"Get":          true,
-	"Put":          true,
-	"Delete":       true,
-	"Range":        true,
-	"GetBatch":     true,
-	"PutBatch":     true,
 	"GetSpan":      true,
 	"PutSpan":      true,
 	"DeleteSpan":   true,
 	"RangeSpan":    true,
 	"GetBatchSpan": true,
 	"PutBatchSpan": true,
+	"Get":          true,
+	"Put":          true,
+	"Delete":       true,
+	"Range":        true,
+	"GetBatch":     true,
+	"PutBatch":     true,
 }
 
 func runObsOp(pass *Pass) {
@@ -55,13 +59,16 @@ func runObsOp(pass *Pass) {
 			}
 			var opCall *ast.CallExpr
 			var opName string
-			var startCall *ast.CallExpr
+			starts := map[string]*ast.CallExpr{} // start method -> first call
+			deferred := map[string]bool{}        // finish methods deferred
 			recorded := false
-			deferredFinish := false
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if ds, ok := n.(*ast.DeferStmt); ok {
-					if _, _, name, ok := methodCall(pass.Info, ds.Call); ok && name == "FinishSpan" {
-						deferredFinish = true
+					if _, _, name, ok := methodCall(pass.Info, ds.Call); ok {
+						deferred[name] = true
+						if name == "FinishOp" {
+							recorded = true
+						}
 					}
 					return true
 				}
@@ -77,9 +84,9 @@ func runObsOp(pass *Pass) {
 				case "RecordOp", "FinishSpan":
 					recorded = true
 					return true
-				case "StartSpan":
-					if startCall == nil {
-						startCall = call
+				case "StartSpan", "StartOp":
+					if starts[name] == nil {
+						starts[name] = call
 					}
 					return true
 				}
@@ -99,12 +106,17 @@ func runObsOp(pass *Pass) {
 			fname := fn.Name.Name
 			if opCall != nil && !recorded {
 				pass.Reportf(opCall.Pos(),
-					"%s dispatches eng.%s without the obs timing hook: time the call and report it with Observer.RecordOp (or route through an instrumented public method)",
+					"%s dispatches eng.%s without the obs timing hook: time the call and report it with Observer.RecordOp, or defer OpScope.FinishOp (or route through an instrumented public method)",
 					fname, opName)
 			}
-			if startCall != nil && !deferredFinish {
-				pass.Reportf(startCall.Pos(),
+			if c := starts["StartSpan"]; c != nil && !deferred["FinishSpan"] {
+				pass.Reportf(c.Pos(),
 					"%s starts a span without a deferred FinishSpan: every return path must end the span (defer o.FinishSpan(sp))",
+					fname)
+			}
+			if c := starts["StartOp"]; c != nil && !deferred["FinishOp"] {
+				pass.Reportf(c.Pos(),
+					"%s starts an op scope without a deferred FinishOp: every return path must end it (defer t.FinishOp())",
 					fname)
 			}
 		}

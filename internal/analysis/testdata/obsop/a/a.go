@@ -1,6 +1,6 @@
 // Package a replicates the public API shape for the obsop golden test:
 // methods dispatching engine operations through the `eng` field must call
-// the obs timing hook (RecordOp).
+// the obs timing hook (RecordOp, FinishSpan or a deferred FinishOp).
 package a
 
 import "time"
@@ -92,4 +92,47 @@ func (f *SpanFile) PutLeaky(key string, value []byte) error {
 // hook at all: flagged like the plain forms.
 func (f *SpanFile) GetSpanUntimed(key string, sp *Span) ([]byte, error) {
 	return f.eng.GetSpan(key, sp) // want `GetSpanUntimed dispatches eng\.GetSpan without the obs timing hook`
+}
+
+// --- OpScope helper shapes: one engine call per op, span nil when
+// tracing is off ---
+
+type OpScope struct{ sp *Span }
+
+func (o *Observer) StartOp(op int) OpScope { return OpScope{} }
+func (s OpScope) Span() *Span              { return s.sp }
+func (s OpScope) FinishOp()                {}
+
+type scopeEngine interface {
+	Get(key string) ([]byte, error)
+	GetSpan(key string, sp *Span) ([]byte, error)
+	DeleteSpan(key string, sp *Span) error
+}
+
+type ScopeFile struct {
+	eng scopeEngine
+	obs *Observer
+}
+
+// Get routes through the helper: the deferred FinishOp is the timing
+// hook, so nothing is flagged.
+func (f *ScopeFile) Get(key string) ([]byte, error) {
+	t := f.obs.StartOp(0)
+	defer t.FinishOp()
+	return f.eng.GetSpan(key, t.Span())
+}
+
+// GetUnrouted dispatches the plain engine op with no hook at all.
+func (f *ScopeFile) GetUnrouted(key string) ([]byte, error) {
+	return f.eng.Get(key) // want `GetUnrouted dispatches eng\.Get without the obs timing hook`
+}
+
+// DeleteInline finishes the scope inline: an early return would lose the
+// op's sample, so the finish does not count as routing and the start is
+// flagged too.
+func (f *ScopeFile) DeleteInline(key string) error {
+	t := f.obs.StartOp(2)                  // want `DeleteInline starts an op scope without a deferred FinishOp`
+	err := f.eng.DeleteSpan(key, t.Span()) // want `DeleteInline dispatches eng\.DeleteSpan without the obs timing hook`
+	t.FinishOp()
+	return err
 }

@@ -1,14 +1,17 @@
 package core
 
-// GetBatch looks up many keys in one pass. Keys are partitioned by the
-// trie leaf they map to, so every qualifying bucket is read (or viewed,
-// when the store supports snapshots) exactly once no matter how many of
-// the batch's keys it serves — the batch analogue of the paper's
+import "triehash/internal/obs"
+
+// GetBatchSpan looks up many keys in one pass. Keys are partitioned by
+// the trie leaf they map to, so every qualifying bucket is read (or
+// viewed, when the store supports snapshots) exactly once no matter how
+// many of the batch's keys it serves — the batch analogue of the paper's
 // observation that an ordered file serves a range scan with one access
 // per bucket. Results align with keys: errs[i] is nil and vals[i] the
 // value on success; errs[i] is ErrNotFound or a validation/storage error
-// otherwise.
-func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
+// otherwise. sp (nil = tracing off) charges the partition pass to
+// trie-search and each bucket access to its own stage.
+func (f *File) GetBatchSpan(keys []string, sp *obs.Span) (vals [][]byte, errs []error) {
 	vals = make([][]byte, len(keys))
 	errs = make([]error, len(keys))
 	groups := make(map[int32][]int, len(keys))
@@ -24,8 +27,9 @@ func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
 		}
 		groups[leaf.Addr()] = append(groups[leaf.Addr()], i)
 	}
+	sp.Mark(obs.StageTrieSearch)
 	for addr, idxs := range groups {
-		b, err := f.view(addr)
+		b, err := f.view(addr, sp)
 		if err != nil {
 			for _, i := range idxs {
 				errs[i] = err
@@ -41,4 +45,15 @@ func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
 		}
 	}
 	return vals, errs
+}
+
+// PutBatchSpan applies a batch of inserts or replacements one record at a
+// time, in input order; errs aligns with keys. The serial engine has no
+// cheaper batch path: each record is a PutSpan.
+func (f *File) PutBatchSpan(keys []string, values [][]byte, sp *obs.Span) (errs []error) {
+	errs = make([]error, len(keys))
+	for i, k := range keys {
+		_, errs[i] = f.PutSpan(k, values[i], sp)
+	}
+	return errs
 }

@@ -220,16 +220,24 @@ func (f *File) locate(key string) (path []int32, res trie.SearchResult) {
 	}
 }
 
-// Get returns the value stored under key.
-func (f *File) Get(key string) ([]byte, error) {
+// Get is GetSpan with tracing off.
+func (f *File) Get(key string) ([]byte, error) { return f.GetSpan(key, nil) }
+
+// GetSpan returns the value stored under key. sp (nil = tracing off)
+// charges the multilevel locate — page traversal included — to the
+// trie-search stage: pages are trie nodes here, and their reads are
+// counted separately by the page-read counter.
+func (f *File) GetSpan(key string, sp *obs.Span) ([]byte, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return nil, err
 	}
 	_, res := f.locate(key)
+	sp.Mark(obs.StageTrieSearch)
 	if res.Leaf.IsNil() {
 		return nil, ErrNotFound
 	}
 	b, err := f.st.Read(res.Leaf.Addr())
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return nil, err
 	}
@@ -240,13 +248,18 @@ func (f *File) Get(key string) ([]byte, error) {
 	return v, nil
 }
 
-// Put inserts or replaces the record for key and reports whether an
-// existing record was replaced.
-func (f *File) Put(key string, value []byte) (bool, error) {
+// Put is PutSpan with tracing off.
+func (f *File) Put(key string, value []byte) (bool, error) { return f.PutSpan(key, value, nil) }
+
+// PutSpan inserts or replaces the record for key and reports whether an
+// existing record was replaced. sp charges bucket and page splits to the
+// split stage.
+func (f *File) PutSpan(key string, value []byte, sp *obs.Span) (bool, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return false, err
 	}
 	path, res := f.locate(key)
+	sp.Mark(obs.StageTrieSearch)
 	filePage := path[len(path)-1]
 	if res.Leaf.IsNil() {
 		addr, err := f.st.Alloc()
@@ -259,20 +272,26 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 		if err := f.st.Write(addr, b); err != nil {
 			return false, err
 		}
+		sp.Mark(obs.StageStoreWrite)
 		f.pages[filePage].tr.AllocNil(res.Pos, addr)
 		f.nkeys++
 		return false, nil
 	}
 	addr := res.Leaf.Addr()
 	b, err := f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return false, err
 	}
 	if b.Put(key, value) {
-		return true, f.st.Write(addr, b)
+		err := f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		return true, err
 	}
 	if b.Len() <= f.cfg.Capacity {
-		if err := f.st.Write(addr, b); err != nil {
+		err := f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		if err != nil {
 			return false, err
 		}
 		f.nkeys++
@@ -283,6 +302,7 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	} else {
 		err = f.splitBucket(path, res, addr, b)
 	}
+	sp.Mark(obs.StageSplit)
 	if err != nil {
 		return false, err
 	}
@@ -290,19 +310,25 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	return false, nil
 }
 
-// Delete removes the record for key. The multilevel scheme leaves bucket
-// merging to the single-level method (the paper studies deletions there);
-// an emptied bucket's leaf simply becomes nil and the bucket is freed.
-func (f *File) Delete(key string) error {
+// Delete is DeleteSpan with tracing off.
+func (f *File) Delete(key string) error { return f.DeleteSpan(key, nil) }
+
+// DeleteSpan removes the record for key. The multilevel scheme leaves
+// bucket merging to the single-level method (the paper studies deletions
+// there); an emptied bucket's leaf simply becomes nil and the bucket is
+// freed, which sp charges to the merge stage.
+func (f *File) DeleteSpan(key string, sp *obs.Span) error {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return err
 	}
 	path, res := f.locate(key)
+	sp.Mark(obs.StageTrieSearch)
 	if res.Leaf.IsNil() {
 		return ErrNotFound
 	}
 	addr := res.Leaf.Addr()
 	b, err := f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return err
 	}
@@ -313,6 +339,7 @@ func (f *File) Delete(key string) error {
 		if err := f.st.Free(addr); err != nil {
 			return err
 		}
+		sp.Mark(obs.StageMerge)
 		f.pages[path[len(path)-1]].tr.FreeToNil(res.Pos)
 		f.nkeys--
 		return nil
@@ -320,8 +347,30 @@ func (f *File) Delete(key string) error {
 	if err := f.st.Write(addr, b); err != nil {
 		return err
 	}
+	sp.Mark(obs.StageStoreWrite)
 	f.nkeys--
 	return nil
+}
+
+// GetBatchSpan looks up keys one at a time (the multilevel file has no
+// partitioned batch path); results align with keys.
+func (f *File) GetBatchSpan(keys []string, sp *obs.Span) (vals [][]byte, errs []error) {
+	vals = make([][]byte, len(keys))
+	errs = make([]error, len(keys))
+	for i, k := range keys {
+		vals[i], errs[i] = f.GetSpan(k, sp)
+	}
+	return vals, errs
+}
+
+// PutBatchSpan applies the records one at a time, in input order; errs
+// aligns with keys.
+func (f *File) PutBatchSpan(keys []string, values [][]byte, sp *obs.Span) (errs []error) {
+	errs = make([]error, len(keys))
+	for i, k := range keys {
+		_, errs[i] = f.PutSpan(k, values[i], sp)
+	}
+	return errs
 }
 
 // splitBucket performs the basic method's Algorithm A2 inside the file-
@@ -426,10 +475,18 @@ func (f *File) splitPage(pid, parent int32) {
 	f.pages[parent].tr.ReplaceLeafWithCell(pos, cell, trie.Leaf(pid), trie.Leaf(newID))
 }
 
-// Range calls fn for every record with from <= key <= to (empty to = no
-// upper bound) in ascending key order until fn returns false.
+// Range is RangeSpan with tracing off.
 func (f *File) Range(from, to string, fn func(key string, value []byte) bool) error {
+	return f.RangeSpan(from, to, fn, nil)
+}
+
+// RangeSpan calls fn for every record with from <= key <= to (empty to =
+// no upper bound) in ascending key order until fn returns false. sp
+// charges walk time between bucket reads to trie-search, the reads to
+// store-read.
+func (f *File) RangeSpan(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error {
 	_, start := f.locate(from)
+	sp.Mark(obs.StageTrieSearch)
 	started := start.Leaf.IsNil() // a nil start leaf: begin at the next real bucket
 	startAddr := int32(-1)
 	if !start.Leaf.IsNil() {
@@ -443,7 +500,9 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 			}
 			started = true
 		}
+		sp.Mark(obs.StageTrieSearch)
 		b, err := f.st.Read(addr)
+		sp.Mark(obs.StageStoreRead)
 		if err != nil {
 			scanErr = err
 			return false
@@ -453,6 +512,7 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 		}
 		return b.Ascend(from, to, func(r bucket.Record) bool { return fn(r.Key, r.Value) })
 	})
+	sp.Mark(obs.StageTrieSearch)
 	return scanErr
 }
 

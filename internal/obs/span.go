@@ -182,6 +182,12 @@ func (sp *Span) Mark(stage Stage) time.Duration {
 	if sp == nil {
 		return 0
 	}
+	return sp.mark(stage)
+}
+
+// mark is Mark on a live span, kept out of line so that Mark's nil check
+// inlines into every caller and an untraced op pays a compare per mark.
+func (sp *Span) mark(stage Stage) time.Duration {
 	el := sp.elapsed()
 	d := el - sp.last
 	sp.stages[stage] += d
@@ -205,9 +211,13 @@ func (sp *Span) Add(stage Stage, d time.Duration) {
 // a hold frame opens for the matching EndHold. addr is the latched bucket,
 // or -1 for the structural lock. Call it immediately after Lock returns.
 func (sp *Span) BeginHold(addr int32, waitStage Stage) {
-	if sp == nil {
-		return
+	if sp != nil {
+		sp.beginHold(addr, waitStage)
 	}
+}
+
+// beginHold is BeginHold on a live span (out of line, like mark).
+func (sp *Span) beginHold(addr int32, waitStage Stage) {
 	el := sp.elapsed()
 	wait := el - sp.last
 	sp.stages[waitStage] += wait
@@ -228,9 +238,13 @@ func (sp *Span) BeginHold(addr int32, waitStage Stage) {
 // stages included — is recorded in the observer's contention table. Call
 // it immediately after Unlock.
 func (sp *Span) EndHold(holdStage Stage) {
-	if sp == nil {
-		return
+	if sp != nil {
+		sp.endHold(holdStage)
 	}
+}
+
+// endHold is EndHold on a live span (out of line, like mark).
+func (sp *Span) endHold(holdStage Stage) {
 	el := sp.elapsed()
 	sp.stages[holdStage] += el - sp.last
 	sp.touched |= 1 << holdStage
@@ -342,6 +356,59 @@ func (o *Observer) StartSpan(op Op) *Span {
 	if o == nil || !o.cfg.Spans {
 		return nil
 	}
+	return o.newSpan(op)
+}
+
+// OpScope is one public operation's instrumentation, whatever the
+// observer's configuration: nothing with no observer attached, a span
+// with span tracing on, a whole-op timer otherwise. Begin it with
+// StartOp, end it with a deferred FinishOp, and pass Span() down the
+// layers — nil when tracing is off, which every Span method accepts.
+type OpScope struct {
+	o     *Observer
+	sp    *Span
+	op    Op
+	start time.Time
+}
+
+// StartOp begins op's instrumentation. With no observer it returns the
+// zero scope and reads no clock (the check inlines into the caller).
+func (o *Observer) StartOp(op Op) OpScope {
+	if o == nil {
+		return OpScope{}
+	}
+	return o.startOp(op)
+}
+
+func (o *Observer) startOp(op Op) OpScope {
+	if o.cfg.Spans {
+		return OpScope{o: o, sp: o.newSpan(op)}
+	}
+	return OpScope{o: o, op: op, start: time.Now()}
+}
+
+// Span returns the scope's span: nil unless span tracing is on.
+func (s OpScope) Span() *Span { return s.sp }
+
+// FinishOp records the op's latency sample — through FinishSpan when the
+// scope carries a span — and is a no-op on the zero scope (the check
+// inlines into the caller).
+func (s OpScope) FinishOp() {
+	if s.o != nil {
+		s.finish()
+	}
+}
+
+func (s OpScope) finish() {
+	if s.sp != nil {
+		s.o.FinishSpan(s.sp)
+		return
+	}
+	s.o.RecordOp(s.op, time.Since(s.start))
+}
+
+// newSpan checks a span for op out of the pool and starts its clock.
+func (o *Observer) newSpan(op Op) *Span {
 	sp, _ := o.spanPool.Get().(*Span)
 	if sp == nil {
 		sp = &Span{}

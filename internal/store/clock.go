@@ -252,26 +252,17 @@ func (c *ShardedCache) Read(addr int32) (*bucket.Bucket, error) {
 	return c.fill(sh, addr)
 }
 
-// ReadView implements Viewer: a hit returns the frame's immutable
-// snapshot directly — no clone, no allocation — under the read-only
-// contract. A miss fills the frame and returns its snapshot.
+// ReadView implements Viewer: ReadViewTagged without the verdict.
 func (c *ShardedCache) ReadView(addr int32) (*bucket.Bucket, error) {
-	sh := c.shard(addr)
-	if b, ok := sh.lookup(addr); ok {
-		sh.hits.Add(1)
-		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheHit, Addr: addr})
-		return b, nil
-	}
-	b, err := c.fill(sh, addr)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	b, _, err := c.ReadViewTagged(addr)
+	return b, err
 }
 
-// ReadViewTagged is ReadView plus the hit/miss verdict, so a span-carrying
-// caller can charge the access to the cache-probe stage or the store-read
-// stage. Semantics and cost are otherwise identical to ReadView.
+// ReadViewTagged implements TaggedViewer: a hit returns the frame's
+// immutable snapshot directly — no clone, no allocation — under the
+// read-only contract, and reports true. A miss fills the frame and
+// returns its snapshot, reporting false, so a span-carrying caller can
+// charge the access to the cache-probe stage or the store-read stage.
 func (c *ShardedCache) ReadViewTagged(addr int32) (*bucket.Bucket, bool, error) {
 	sh := c.shard(addr)
 	if b, ok := sh.lookup(addr); ok {
@@ -280,10 +271,7 @@ func (c *ShardedCache) ReadViewTagged(addr int32) (*bucket.Bucket, bool, error) 
 		return b, true, nil
 	}
 	b, err := c.fill(sh, addr)
-	if err != nil {
-		return nil, false, err
-	}
-	return b, false, nil
+	return b, false, err
 }
 
 // Write implements Store write-through: the pool and the backing store

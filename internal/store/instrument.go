@@ -27,10 +27,10 @@ type TaggedViewer interface {
 	ReadViewTagged(addr int32) (*bucket.Bucket, bool, error)
 }
 
-// SpanViewer is the span-aware read-view capability the engines' span
-// paths use: like Viewer's ReadView, but charging the access to the
-// span's cache-probe or store-read stage. A nil span degrades to a plain
-// ReadView. The Instrumented wrapper implements it.
+// SpanViewer is the span-aware read-view capability the engines use:
+// like Viewer's ReadView, but charging the access to the span's
+// cache-probe or store-read stage. A nil span is a plain ReadView. The
+// Instrumented wrapper implements it.
 type SpanViewer interface {
 	ReadViewSpan(addr int32, sp *obs.Span) (*bucket.Bucket, error)
 }
@@ -58,60 +58,51 @@ func (s *Instrumented) Read(addr int32) (*bucket.Bucket, error) {
 	return b, err
 }
 
-// ReadView implements Viewer, timing the access as a read. The view is
-// served by the wrapped store's fast path when it has one (a cache hit
-// skips the clone); wrapped stores without ReadView serve a plain Read,
-// so the wrapper is always a Viewer without changing semantics. The
-// inner Viewer is resolved at construction, not per call: this method
-// sits on the zero-allocation Get hot path, where a repeated interface
-// assertion is measurable.
+// ReadView implements Viewer: ReadViewSpan with tracing off.
 func (s *Instrumented) ReadView(addr int32) (*bucket.Bucket, error) {
-	o := s.hook.Observer()
-	if o == nil {
-		if s.viewer != nil {
-			return s.viewer.ReadView(addr)
-		}
-		return s.Store.Read(addr)
-	}
-	start := time.Now()
-	var b *bucket.Bucket
-	var err error
-	if s.viewer != nil {
-		b, err = s.viewer.ReadView(addr)
-	} else {
-		b, err = s.Store.Read(addr)
-	}
-	o.RecordOp(obs.OpRead, time.Since(start))
-	return b, err
+	return s.ReadViewSpan(addr, nil)
 }
 
-// ReadViewSpan implements SpanViewer: a span-carrying ReadView that
-// charges the access to the span's cache-probe stage (pool hit) or
-// store-read stage (the access reached the store), and still feeds the
-// whole-access OpRead histogram. With a nil span it is exactly ReadView.
+// ReadViewSpan implements SpanViewer, timing the access as a read. The
+// view is served by the wrapped store's fast path when it has one (a
+// cache hit skips the clone); wrapped stores without ReadView serve a
+// plain Read, so the wrapper is always a Viewer without changing
+// semantics. The inner viewers are resolved at construction, not per
+// call: this method sits on the zero-allocation Get hot path, where a
+// repeated interface assertion is measurable. A non-nil span is charged
+// with the access at its cache-probe stage (pool hit) or store-read stage
+// (the access reached the store), and the same interval feeds the OpRead
+// histogram; otherwise the clock is read only when an observer is
+// attached.
 func (s *Instrumented) ReadViewSpan(addr int32, sp *obs.Span) (*bucket.Bucket, error) {
-	if sp == nil {
-		return s.ReadView(addr)
+	o := s.hook.Observer()
+	var start time.Time
+	if o != nil && sp == nil {
+		start = time.Now()
 	}
 	var (
-		b     *bucket.Bucket
-		hit   bool
-		err   error
-		stage = obs.StageStoreRead
+		b   *bucket.Bucket
+		hit bool
+		err error
 	)
 	switch {
 	case s.probe != nil:
 		b, hit, err = s.probe.ReadViewTagged(addr)
-		if hit {
-			stage = obs.StageCacheProbe
-		}
 	case s.viewer != nil:
 		b, err = s.viewer.ReadView(addr)
 	default:
 		b, err = s.Store.Read(addr)
 	}
-	d := sp.Mark(stage)
-	s.hook.Observer().RecordOp(obs.OpRead, d)
+	switch {
+	case sp != nil:
+		stage := obs.StageStoreRead
+		if hit {
+			stage = obs.StageCacheProbe
+		}
+		o.RecordOp(obs.OpRead, sp.Mark(stage))
+	case o != nil:
+		o.RecordOp(obs.OpRead, time.Since(start))
+	}
 	return b, err
 }
 

@@ -37,7 +37,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"triehash/internal/core"
 	"triehash/internal/format"
@@ -247,19 +246,18 @@ func (o Options) mlthConfig() mlth.Config {
 	}
 }
 
-// engine is the operation set both variants implement. The *Span forms
-// are the same operations carrying a stage-tracing span (obs.Config.Spans)
-// — the public layer dispatches to them when the attached observer has
-// spans on, so the plain forms stay the measured zero-overhead path.
+// engine is the operation set every engine implements (core.File,
+// core.ConcurrentFile, mlth.File). Each op is one body taking a span:
+// the public layer passes its OpScope's span, which is nil — every span
+// method a no-op — unless the attached observer traces spans
+// (obs.Config.Spans).
 type engine interface {
-	Put(key string, value []byte) (bool, error)
-	Get(key string) ([]byte, error)
-	Delete(key string) error
-	Range(from, to string, fn func(key string, value []byte) bool) error
 	PutSpan(key string, value []byte, sp *obs.Span) (bool, error)
 	GetSpan(key string, sp *obs.Span) ([]byte, error)
 	DeleteSpan(key string, sp *obs.Span) error
 	RangeSpan(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error
+	GetBatchSpan(keys []string, sp *obs.Span) ([][]byte, []error)
+	PutBatchSpan(keys []string, values [][]byte, sp *obs.Span) []error
 	Len() int
 	Store() store.Store
 	SaveMeta() []byte
@@ -810,51 +808,34 @@ func (f *File) Put(key string, value []byte) error {
 	return err
 }
 
+// putOp is Put under the file lock. The op's scope starts before the
+// lock, so its wait is measured (the file-lock stage with spans on).
 func (f *File) putOp(key string, value []byte) error {
-	// One atomic load decides instrumentation; the disabled path costs a
-	// nil check and allocates nothing. With spans on, the span starts
-	// before the file lock so the lock wait is a measured stage, and
-	// FinishSpan records the whole-op latency.
-	o := f.hook.Observer()
-	if sp := o.StartSpan(obs.OpPut); sp != nil {
-		defer o.FinishSpan(sp)
-		defer f.opLock()()
-		sp.Mark(obs.StageFileLock)
-		if f.closed {
-			return ErrClosed
-		}
-		if f.maxRecord > 0 && len(key)+len(value) > f.maxRecord {
-			return fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-				ErrRecordTooLarge, len(key)+len(value), f.maxRecord)
-		}
-		_, err := f.eng.PutSpan(key, value, sp)
-		if err == nil {
-			err = f.walAppend(wal.OpPut, key, value, sp)
-		}
-		return err
-	}
+	t := f.hook.Observer().StartOp(obs.OpPut)
+	defer t.FinishOp()
 	defer f.opLock()()
+	sp := t.Span()
+	sp.Mark(obs.StageFileLock)
 	if f.closed {
 		return ErrClosed
 	}
-	if f.maxRecord > 0 && len(key)+len(value) > f.maxRecord {
-		return fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-			ErrRecordTooLarge, len(key)+len(value), f.maxRecord)
-	}
-	if o == nil {
-		_, err := f.eng.Put(key, value)
-		if err == nil {
-			err = f.walAppend(wal.OpPut, key, value, nil)
-		}
+	if err := f.checkRecord(key, value); err != nil {
 		return err
 	}
-	start := time.Now()
-	_, err := f.eng.Put(key, value)
+	_, err := f.eng.PutSpan(key, value, sp)
 	if err == nil {
-		err = f.walAppend(wal.OpPut, key, value, nil)
+		err = f.walAppend(wal.OpPut, key, value, sp)
 	}
-	o.RecordOp(obs.OpPut, time.Since(start))
 	return err
+}
+
+// checkRecord rejects a record over the persistent-file size limit.
+func (f *File) checkRecord(key string, value []byte) error {
+	if n := len(key) + len(value); f.maxRecord > 0 && n > f.maxRecord {
+		return fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
+			ErrRecordTooLarge, n, f.maxRecord)
+	}
+	return nil
 }
 
 // Get returns the value stored under key, or ErrNotFound.
@@ -864,19 +845,9 @@ func (f *File) Get(key string) ([]byte, error) {
 	if f.closed {
 		return nil, ErrClosed
 	}
-	o := f.hook.Observer()
-	if o == nil {
-		v, err := f.eng.Get(key)
-		return v, mapNotFound(err)
-	}
-	if sp := o.StartSpan(obs.OpGet); sp != nil {
-		defer o.FinishSpan(sp)
-		v, err := f.eng.GetSpan(key, sp)
-		return v, mapNotFound(err)
-	}
-	start := time.Now()
-	v, err := f.eng.Get(key)
-	o.RecordOp(obs.OpGet, time.Since(start))
+	t := f.hook.Observer().StartOp(obs.OpGet)
+	defer t.FinishOp()
+	v, err := f.eng.GetSpan(key, t.Span())
 	return v, mapNotFound(err)
 }
 
@@ -902,38 +873,20 @@ func (f *File) Delete(key string) error {
 	return err
 }
 
+// deleteOp is Delete under the file lock, instrumented like putOp.
 func (f *File) deleteOp(key string) error {
-	o := f.hook.Observer()
-	if sp := o.StartSpan(obs.OpDelete); sp != nil {
-		defer o.FinishSpan(sp)
-		defer f.opLock()()
-		sp.Mark(obs.StageFileLock)
-		if f.closed {
-			return ErrClosed
-		}
-		err := f.eng.DeleteSpan(key, sp)
-		if err == nil {
-			err = f.walAppend(wal.OpDelete, key, nil, sp)
-		}
-		return mapNotFound(err)
-	}
+	t := f.hook.Observer().StartOp(obs.OpDelete)
+	defer t.FinishOp()
 	defer f.opLock()()
+	sp := t.Span()
+	sp.Mark(obs.StageFileLock)
 	if f.closed {
 		return ErrClosed
 	}
-	if o == nil {
-		err := f.eng.Delete(key)
-		if err == nil {
-			err = f.walAppend(wal.OpDelete, key, nil, nil)
-		}
-		return mapNotFound(err)
-	}
-	start := time.Now()
-	err := f.eng.Delete(key)
+	err := f.eng.DeleteSpan(key, sp)
 	if err == nil {
-		err = f.walAppend(wal.OpDelete, key, nil, nil)
+		err = f.walAppend(wal.OpDelete, key, nil, sp)
 	}
-	o.RecordOp(obs.OpDelete, time.Since(start))
 	return mapNotFound(err)
 }
 
@@ -945,18 +898,9 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 	if f.closed {
 		return ErrClosed
 	}
-	o := f.hook.Observer()
-	if o == nil {
-		return f.eng.Range(from, to, fn)
-	}
-	if sp := o.StartSpan(obs.OpRange); sp != nil {
-		defer o.FinishSpan(sp)
-		return f.eng.RangeSpan(from, to, fn, sp)
-	}
-	start := time.Now()
-	err := f.eng.Range(from, to, fn)
-	o.RecordOp(obs.OpRange, time.Since(start))
-	return err
+	t := f.hook.Observer().StartOp(obs.OpRange)
+	defer t.FinishOp()
+	return f.eng.RangeSpan(from, to, fn, t.Span())
 }
 
 // Len returns the number of records.

@@ -24,8 +24,10 @@ lint-graph:
 	$(GO) run ./cmd/thvet -graph md
 
 # The race pass on the concurrency-bearing packages is part of the default
-# test gate: the sharded pool, the batch path, and the concurrent engine's
-# public stress tests live or die by it.
+# test gate: the concurrent engine's primitives (the cell arena searched
+# while it grows), the sharded pool, and the engine's public tests (stress,
+# batch, readers during splits, the serial/concurrent differential) live
+# or die by it.
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/concurrent ./internal/store

@@ -19,12 +19,15 @@ func bucketWith(key string) *bucket.Bucket {
 }
 
 // TestGetBatchMatchesGet checks the public batch lookup against its
-// sequential expansion on both engines (the single-level engine groups
-// keys by bucket; the multilevel engine falls back to a Get loop).
+// sequential expansion on every engine (the single-level and concurrent
+// engines group keys by bucket; the multilevel engine falls back to a Get
+// loop), position by position: present, absent, invalid and repeated
+// keys.
 func TestGetBatchMatchesGet(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"single": {BucketCapacity: 8, CacheFrames: 32},
-		"multi":  {BucketCapacity: 8, PageCapacity: 64},
+		"single":     {BucketCapacity: 8, CacheFrames: 32},
+		"multi":      {BucketCapacity: 8, PageCapacity: 64},
+		"concurrent": {BucketCapacity: 8, CacheFrames: 32, Concurrent: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			f, err := Create(opts)
@@ -43,11 +46,13 @@ func TestGetBatchMatchesGet(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				queries = append(queries, ks[rng.Intn(len(ks))])
 			}
-			queries = append(queries, workload.Uniform(99, 200, 3, 10)...) // mostly absent
+			queries = append(queries, workload.Uniform(99, 200, 3, 10)...)   // mostly absent
+			queries = append(queries, "", "zzz\x00", queries[0], queries[1]) // invalid, repeated
 			vals, errs := f.GetBatch(queries)
 			for i, k := range queries {
 				wantV, wantErr := f.Get(k)
-				if !errors.Is(errs[i], wantErr) {
+				// Same sentinel, or the same freshly built validation error.
+				if !errors.Is(errs[i], wantErr) && fmt.Sprint(errs[i]) != fmt.Sprint(wantErr) {
 					t.Fatalf("GetBatch[%d](%q) err = %v, Get err = %v", i, k, errs[i], wantErr)
 				}
 				if string(vals[i]) != string(wantV) {
@@ -172,37 +177,53 @@ func TestCachePolicies(t *testing.T) {
 }
 
 // TestCachedGetZeroAlloc is the acceptance gate for the cached Get hot
-// path: with the (default) CLOCK pool warm, a public Get allocates
-// nothing — the trie descent is path-free, the pool hit hands out a
-// shared snapshot instead of a clone, and the bucket search is
-// closure-free.
+// path, on both engines: with the (default) CLOCK pool warm, a public Get
+// allocates nothing, for a hit and for a miss — the trie descent (or the
+// concurrent engine's arena search) is path-free, the pool hit hands out
+// a shared snapshot instead of a clone, the bucket search is
+// closure-free and a miss returns the ErrNotFound sentinel.
 func TestCachedGetZeroAlloc(t *testing.T) {
-	f, err := Create(Options{BucketCapacity: 20, CacheFrames: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ks := workload.Uniform(41, 5000, 3, 10)
-	for _, k := range ks {
-		if err := f.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range ks { // warm every bucket into the pool
-		if _, err := f.Get(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var sink []byte
-	allocs := testing.AllocsPerRun(500, func() {
-		v, err := f.Get(ks[4242])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink = v
-	})
-	_ = sink
-	if allocs != 0 {
-		t.Fatalf("cached Get allocates %v objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name       string
+		concurrent bool
+	}{{"default", false}, {"concurrent", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Create(Options{BucketCapacity: 20, CacheFrames: 4096, Concurrent: tc.concurrent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			ks := workload.Uniform(41, 5000, 3, 10)
+			for _, k := range ks {
+				if err := f.Put(k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range ks { // warm every bucket into the pool
+				if _, err := f.Get(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var sink []byte
+			allocs := testing.AllocsPerRun(500, func() {
+				v, err := f.Get(ks[4242])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink = v
+			})
+			_ = sink
+			if allocs != 0 {
+				t.Fatalf("cached Get hit allocates %v objects/op, want 0", allocs)
+			}
+			allocs = testing.AllocsPerRun(500, func() {
+				if _, err := f.Get("absent!"); !errors.Is(err, ErrNotFound) {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("cached Get miss allocates %v objects/op, want 0", allocs)
+			}
+		})
 	}
 }

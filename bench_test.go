@@ -7,9 +7,7 @@ import (
 
 	"triehash/internal/bench"
 	"triehash/internal/btree"
-	"triehash/internal/concurrent"
 	"triehash/internal/core"
-	"triehash/internal/keys"
 	"triehash/internal/store"
 	"triehash/internal/workload"
 )
@@ -238,13 +236,15 @@ func BenchmarkAblationSplits(b *testing.B)   { benchExperiment(b, "ablation-spli
 
 func BenchmarkExtMultilevelTHCL(b *testing.B) { benchExperiment(b, "ext-mlth-thcl") }
 
-// BenchmarkConcurrentGet measures reader scaling of the /VID87/ scheme:
-// lock-free trie traversal plus a shared bucket latch.
+// BenchmarkConcurrentGet measures reader scaling of the /VID87/ scheme
+// in the concurrent engine: lock-free trie search plus a shared bucket
+// latch.
 func BenchmarkConcurrentGet(b *testing.B) {
-	f, err := concurrent.New(keys.ASCII, 50, 0)
+	f, err := Create(Options{BucketCapacity: 50, Concurrent: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer f.Close()
 	ks := microWorkload()
 	for _, k := range ks {
 		if err := f.Put(k, nil); err != nil {
@@ -266,10 +266,11 @@ func BenchmarkConcurrentGet(b *testing.B) {
 
 // BenchmarkConcurrentMixed: readers with a 10% write mix.
 func BenchmarkConcurrentMixed(b *testing.B) {
-	f, err := concurrent.New(keys.ASCII, 50, 0)
+	f, err := Create(Options{BucketCapacity: 50, Concurrent: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer f.Close()
 	ks := microWorkload()
 	for _, k := range ks[:len(ks)/2] {
 		if err := f.Put(k, nil); err != nil {

@@ -50,6 +50,12 @@ var engineOps = map[string]bool{
 	"PutBatch":     true,
 }
 
+// engDispatch is one call through an `eng` field to an engine op.
+type engDispatch struct {
+	call *ast.CallExpr
+	name string
+}
+
 func runObsOp(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -57,8 +63,7 @@ func runObsOp(pass *Pass) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			var opCall *ast.CallExpr
-			var opName string
+			var ops []engDispatch                // every eng dispatch, in source order
 			starts := map[string]*ast.CallExpr{} // start method -> first call
 			deferred := map[string]bool{}        // finish methods deferred
 			recorded := false
@@ -97,17 +102,19 @@ func runObsOp(pass *Pass) {
 				// is the public File's engine indirection. (f.single /
 				// f.multi never serve operations directly.)
 				if rsel, ok := recv.(*ast.SelectorExpr); ok && rsel.Sel.Name == "eng" {
-					if opCall == nil {
-						opCall, opName = call, name
-					}
+					ops = append(ops, engDispatch{call, name})
 				}
 				return true
 			})
 			fname := fn.Name.Name
-			if opCall != nil && !recorded {
-				pass.Reportf(opCall.Pos(),
-					"%s dispatches eng.%s without the obs timing hook: time the call and report it with Observer.RecordOp, or defer OpScope.FinishOp (or route through an instrumented public method)",
-					fname, opName)
+			// Each unhooked dispatch is its own finding, so a sanction
+			// on one line covers that dispatch and no other.
+			if !recorded {
+				for _, d := range ops {
+					pass.Reportf(d.call.Pos(),
+						"%s dispatches eng.%s without the obs timing hook: time the call and report it with Observer.RecordOp, or defer OpScope.FinishOp (or route through an instrumented public method)",
+						fname, d.name)
+				}
 			}
 			if c := starts["StartSpan"]; c != nil && !deferred["FinishSpan"] {
 				pass.Reportf(c.Pos(),

@@ -136,3 +136,12 @@ func (f *ScopeFile) DeleteInline(key string) error {
 	t.FinishOp()
 	return err
 }
+
+// replay dispatches twice without a hook and sanctions only the first
+// dispatch: the sanction covers its own line, so the second is flagged.
+func (f *ScopeFile) replay(key string) error {
+	if _, err := f.eng.GetSpan(key, nil); err != nil { //thvet:ok obsop -- golden: this dispatch alone is sanctioned
+		return err
+	}
+	return f.eng.DeleteSpan(key, nil) // want `replay dispatches eng\.DeleteSpan without the obs timing hook`
+}

@@ -1,3 +1,16 @@
+// Package concurrent holds the primitives of the concurrency scheme the
+// paper's conclusion sketches for trie hashing (/VID87/): because the trie
+// only ever appends cells and a bucket split publishes itself by flipping
+// a single pointer, readers can search the trie without any lock. The
+// store-backed engine core.ConcurrentFile is built from them:
+//
+//   - Arena and Mirror: the lock-free, append-only mirror of the trie's
+//     cell table that readers search;
+//   - Latches: the per-bucket read-write latch table;
+//   - Stripes and SortKeys: the subtree-keyed structural lock table and
+//     its deadlock-free acquisition order;
+//   - FanOut: the bounded work distributor of the batch paths and the
+//     parallel bulk loader.
 package concurrent
 
 import (
